@@ -253,12 +253,21 @@ fn subcommand_help_lists_its_options() {
 
 #[test]
 fn unknown_option_is_a_positioned_usage_error() {
-    let o = ccv(&["verify", "illinois", "--frobnicate"]);
-    assert_eq!(o.status.code(), Some(2));
-    let err = stderr(&o);
-    assert!(err.contains("--frobnicate"), "{err}");
-    assert!(err.contains("argument 2"), "{err}");
-    assert!(err.contains("ccv verify --help"), "{err}");
+    // The symbolic engine is sequential: verify and crosscheck take no
+    // `--threads`.
+    let cases: [(&[&str], usize); 3] = [
+        (&["verify", "illinois", "--frobnicate"], 2),
+        (&["verify", "illinois", "--threads", "2"], 2),
+        (&["crosscheck", "illinois", "-n", "3", "--threads", "2"], 4),
+    ];
+    for (args, position) in cases {
+        let o = ccv(args);
+        assert_eq!(o.status.code(), Some(2), "{args:?}");
+        let err = stderr(&o);
+        assert!(err.contains(args[position]), "{err}");
+        assert!(err.contains(&format!("argument {position}")), "{err}");
+        assert!(err.contains(&format!("ccv {} --help", args[0])), "{err}");
+    }
 }
 
 #[test]

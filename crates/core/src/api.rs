@@ -168,9 +168,8 @@ pub struct RequestOptions {
     pub n: usize,
     /// Exact-duplicate pruning instead of counting equivalence.
     pub exact: bool,
-    /// Worker threads for enumeration and for the symbolic engine
-    /// behind verify / crosscheck; 0 = one per available core. The
-    /// symbolic result is bit-identical for every setting.
+    /// Enumerate workers; 0 = one per available core. Verify and
+    /// crosscheck ignore it.
     pub threads: usize,
     /// Distinct-state cap for enumerate (also the concrete-state
     /// budget of the crosscheck's enumeration leg).
@@ -1258,7 +1257,6 @@ impl SessionRunner {
                 }
                 Some(backend) => {
                     let opts = Options::default()
-                        .threads(req.options.threads)
                         .sink(ctx.sink.clone())
                         .cancel(ctx.cancel.clone());
                     let mut report = verify_with_scratch(&spec, &opts, &mut self.scratch);
@@ -1287,7 +1285,6 @@ impl SessionRunner {
             .record_trace(o.record_trace)
             .rule_stats(o.rule_stats)
             .stop_at_first_error(o.stop_at_first_error)
-            .threads(o.threads)
             .cancel(ctx.cancel.clone());
         if let Some(budget) = o.budget {
             opts = opts.max_visits(budget);
@@ -1437,6 +1434,29 @@ mod tests {
             let err = Request::parse(text).expect_err(text);
             assert_eq!(err.code, ErrorCode::BadRequest, "{text}");
             assert!(!err.message.is_empty());
+        }
+    }
+
+    #[test]
+    fn verify_accepts_and_ignores_threads() {
+        // `threads` stays on the wire for enumerate; the sequential
+        // symbolic engine ignores it.
+        for (name, verdict) in [
+            ("illinois", "VERIFIED"),
+            ("illinois-missing-invalidation", "ERRONEOUS"),
+        ] {
+            let body = |threads: u32| {
+                let text = format!(
+                    "{{\"schema\": \"ccv-request-v1\", \"action\": \"verify\", \
+                     \"protocol\": {{\"name\": \"{name}\"}}, \"options\": {{\"threads\": {threads}}}}}"
+                );
+                let req = Request::parse(&text).expect(&text);
+                assert_eq!(req.options.threads, threads as usize);
+                Session::run(&req).to_json().render()
+            };
+            let four = body(4);
+            assert!(four.contains(verdict), "{four}");
+            assert_eq!(four, body(1), "{name}");
         }
     }
 

@@ -78,11 +78,6 @@ pub struct Options {
     /// Record a [`VisitRecord`] for every generated successor
     /// (Appendix A.2 reproduction).
     pub record_trace: bool,
-    /// Expansion worker threads: 1 (the default) runs the sequential
-    /// loop, 0 resolves to one worker per available core, and any other
-    /// value forks that many workers per batch. Output is bit-identical
-    /// for every setting (see the module docs of the parallel driver).
-    pub threads: usize,
 }
 
 impl Default for Options {
@@ -91,7 +86,6 @@ impl Default for Options {
             common: CommonOptions::default().budget(1_000_000),
             pruning: Pruning::Containment,
             record_trace: false,
-            threads: 1,
         }
     }
 }
@@ -118,13 +112,6 @@ impl Options {
     /// Records a [`VisitRecord`] per generated successor.
     pub fn record_trace(mut self, record: bool) -> Options {
         self.record_trace = record;
-        self
-    }
-
-    /// Sets the expansion worker count (0 = one per available core,
-    /// 1 = sequential).
-    pub fn threads(mut self, threads: usize) -> Options {
-        self.threads = threads;
         self
     }
 
@@ -330,11 +317,8 @@ impl EngineScratch {
     }
 }
 
-/// Mutable state of one expansion run, shared by the sequential and
-/// parallel drivers. [`EngineCore::absorb`] is the single merge point:
-/// every successor — wherever it was computed — passes through it in
-/// worklist order, so both drivers make identical admit/prune/intern
-/// decisions by construction.
+/// Mutable state of one expansion run; [`EngineCore::absorb`] is the
+/// per-successor body of the Figure 3 loop.
 struct EngineCore<'a> {
     spec: &'a ProtocolSpec,
     opts: &'a Options,
@@ -414,7 +398,7 @@ impl EngineCore<'_> {
                 return true;
             }
             // Cheap per-firing check; the full (clock + memory) poll
-            // happens once per expansion in the drivers.
+            // happens once per expansion in the driver loop.
             if gov.cancelled().is_some() {
                 *truncated = true;
                 return true;
@@ -530,114 +514,6 @@ impl EngineCore<'_> {
     }
 }
 
-/// The deterministic fork-join driver (`threads > 1`).
-///
-/// Each round drains the queue into a batch — one generation of the
-/// sequential FIFO order. Workers speculatively expand disjoint slices
-/// of the batch into per-worker buffers, reading only the immutable
-/// arena; nothing shared is written during the forked phase. The
-/// coordinator then merges the precomputed successor lists strictly in
-/// batch order through [`EngineCore::absorb`] — the same code the
-/// sequential loop runs — recreating every sequential decision: a node
-/// pruned by an earlier merge step is skipped exactly as the
-/// sequential pop would skip it (its speculative expansion is
-/// discarded), interning order and hence [`CompositeId`] assignment
-/// are unchanged, and early stops re-queue the unmerged tail so the
-/// reported frontier matches. Output is therefore bit-identical to the
-/// sequential engine for any worker count; only wall-clock time
-/// differs.
-fn run_parallel(core: &mut EngineCore<'_>, workers: usize) {
-    let mut worker_scratch: Vec<ExpandScratch> = Vec::new();
-    worker_scratch.resize_with(workers, ExpandScratch::default);
-    let mut inline_scratch = ExpandScratch::default();
-    let mut batch: Vec<NodeId> = Vec::new();
-    let mut jobs: Vec<usize> = Vec::new();
-    let mut results: Vec<Vec<Transition>> = Vec::new();
-    'outer: while !core.work.is_empty() {
-        batch.clear();
-        batch.extend(core.work.drain(..));
-        // Nodes already pruned would be skipped by the sequential pop
-        // too (pruning is monotonic), so they are not expanded at all;
-        // nodes pruned *during* this batch's merge are expanded
-        // speculatively and their results discarded below.
-        jobs.clear();
-        jobs.extend((0..batch.len()).filter(|&i| !core.nodes[batch[i].0].pruned));
-        if results.len() < jobs.len() {
-            results.resize_with(jobs.len(), Vec::new);
-        }
-        if jobs.len() > 1 {
-            core.sink.count(Counter::MergeWaits, 1);
-            let spec = core.spec;
-            let arena = &core.arena;
-            let nodes = &core.nodes;
-            let batch = &batch;
-            let chunk = jobs.len().div_ceil(workers);
-            std::thread::scope(|s| {
-                for ((job_chunk, res_chunk), scratch) in jobs
-                    .chunks(chunk)
-                    .zip(results.chunks_mut(chunk))
-                    .zip(worker_scratch.iter_mut())
-                {
-                    s.spawn(move || {
-                        for (&bi, out) in job_chunk.iter().zip(res_chunk.iter_mut()) {
-                            let state = arena.get(nodes[batch[bi].0].state);
-                            successors_into(spec, state, scratch, out);
-                        }
-                    });
-                }
-            });
-        } else {
-            for (k, &bi) in jobs.iter().enumerate() {
-                let state = core.arena.get(core.nodes[batch[bi].0].state).clone();
-                successors_into(core.spec, &state, &mut inline_scratch, &mut results[k]);
-            }
-        }
-        // Merge strictly in batch order; `cursor` pairs each unpruned
-        // batch position with its precomputed successor list.
-        let mut cursor = 0usize;
-        for (i, &current) in batch.iter().enumerate() {
-            if core.nodes[current.0].pruned {
-                if cursor < jobs.len() && jobs[cursor] == i {
-                    cursor += 1;
-                }
-                continue;
-            }
-            if core.gov.poll(core.arena.approx_bytes() as u64).is_some() {
-                for &b in batch[i..].iter().rev() {
-                    core.work.push_front(b);
-                }
-                core.truncated = true;
-                break 'outer;
-            }
-            core.expanded += 1;
-            core.sink.count(Counter::Expansions, 1);
-            if core.events {
-                // What the sequential queue would hold right now: the
-                // unmerged tail of this batch plus the states merged
-                // elements already enqueued.
-                let pending = batch.len() - i - 1 + core.work.len();
-                core.sink.sample(Track::Pending, pending as u64);
-                core.sink.sample(Track::Visited, core.nodes.len() as u64);
-            }
-            let current_state = core.arena.get(core.nodes[current.0].state).clone();
-            debug_assert_eq!(jobs[cursor], i);
-            let succ = std::mem::take(&mut results[cursor]);
-            cursor += 1;
-            let stop = core.absorb(current, &current_state, &succ);
-            results[cursor - 1] = succ; // return the buffer for reuse
-            if stop {
-                for &b in batch[i + 1..].iter().rev() {
-                    core.work.push_front(b);
-                }
-                break 'outer;
-            }
-            if !core.nodes[current.0].pruned {
-                core.history.push(current);
-            }
-        }
-    }
-}
-
 /// Runs the essential-states generation algorithm of Figure 3 on
 /// `spec`, starting (per §4.0) from `(Invalid⁺)` with fresh memory.
 pub fn expand(spec: &ProtocolSpec, opts: &Options) -> Expansion {
@@ -686,11 +562,6 @@ pub fn expand_with(
     // token check runs per rule firing; the clock and the memory
     // estimate are only read every `Governor::STRIDE` firings.
     let gov = opts.common.governor();
-    // 0 = auto: one worker per core the scheduler grants us.
-    let workers = match opts.threads {
-        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-        t => t,
-    };
 
     sink.phase_enter(Phase::Expand);
 
@@ -743,36 +614,31 @@ pub fn expand_with(
     };
 
     sink.span_begin(SpanKind::WorkerBusy, 0);
-    if workers > 1 {
-        run_parallel(&mut core, workers);
-    } else {
-        while let Some(current) = core.work.pop_front() {
-            if core.nodes[current.0].pruned {
-                continue;
-            }
-            // Full governor poll per expansion: a clock read is noise
-            // next to the containment scans each expansion performs,
-            // and it bounds how stale the deadline / memory checks can
-            // get.
-            if core.gov.poll(core.arena.approx_bytes() as u64).is_some() {
-                core.work.push_front(current);
-                core.truncated = true;
-                break;
-            }
-            core.expanded += 1;
-            sink.count(Counter::Expansions, 1);
-            if events {
-                sink.sample(Track::Pending, core.work.len() as u64);
-                sink.sample(Track::Visited, core.nodes.len() as u64);
-            }
-            let current_state = core.arena.get(core.nodes[current.0].state).clone();
-            successors_into(spec, &current_state, exp_scratch, succ);
-            if core.absorb(current, &current_state, succ) {
-                break;
-            }
-            if !core.nodes[current.0].pruned {
-                core.history.push(current);
-            }
+    while let Some(current) = core.work.pop_front() {
+        if core.nodes[current.0].pruned {
+            continue;
+        }
+        // Full governor poll per expansion: a clock read is noise next
+        // to the containment scans each expansion performs, and it
+        // bounds how stale the deadline / memory checks can get.
+        if core.gov.poll(core.arena.approx_bytes() as u64).is_some() {
+            core.work.push_front(current);
+            core.truncated = true;
+            break;
+        }
+        core.expanded += 1;
+        sink.count(Counter::Expansions, 1);
+        if events {
+            sink.sample(Track::Pending, core.work.len() as u64);
+            sink.sample(Track::Visited, core.nodes.len() as u64);
+        }
+        let current_state = core.arena.get(core.nodes[current.0].state).clone();
+        successors_into(spec, &current_state, exp_scratch, succ);
+        if core.absorb(current, &current_state, succ) {
+            break;
+        }
+        if !core.nodes[current.0].pruned {
+            core.history.push(current);
         }
     }
     sink.span_end(SpanKind::WorkerBusy, 0);
@@ -809,7 +675,6 @@ pub fn expand_with(
     sink.count(Counter::BudgetPolls, gov.polls());
     sink.gauge(Gauge::EssentialStates, essential.len() as u64);
     sink.gauge(Gauge::ArenaBytes, arena.approx_bytes() as u64);
-    sink.gauge(Gauge::SymWorkers, workers as u64);
     if let Some(info) = &stopped {
         sink.count(Counter::BudgetStops, 1);
         sink.stopped(info.cause.name(), info.detail.as_deref());
@@ -1100,94 +965,5 @@ mod tests {
         let exp = expand(&spec, &Options::default());
         assert!(exp.is_clean());
         assert!(exp.stopped.is_none());
-    }
-
-    #[test]
-    fn parallel_expansion_is_bit_identical_to_sequential() {
-        for spec in [illinois(), msi(), illinois_missing_invalidation()] {
-            let seq = expand(&spec, &Options::default().record_trace(true));
-            for t in [0, 2, 4, 8] {
-                let par = expand(&spec, &Options::default().record_trace(true).threads(t));
-                assert_eq!(par.visits, seq.visits, "threads={t}");
-                assert_eq!(par.successors, seq.successors, "threads={t}");
-                assert_eq!(par.expanded, seq.expanded, "threads={t}");
-                assert_eq!(par.essential, seq.essential, "threads={t}");
-                assert_eq!(par.nodes.len(), seq.nodes.len(), "threads={t}");
-                for (a, b) in par.nodes.iter().zip(seq.nodes.iter()) {
-                    assert_eq!(a.state, b.state, "threads={t}");
-                    assert_eq!(a.parent, b.parent, "threads={t}");
-                    assert_eq!(a.pruned, b.pruned, "threads={t}");
-                }
-                assert_eq!(par.errors.len(), seq.errors.len(), "threads={t}");
-                for (a, b) in par.errors.iter().zip(seq.errors.iter()) {
-                    assert_eq!(a.node, b.node, "threads={t}");
-                    assert_eq!(a.step_errors.len(), b.step_errors.len(), "threads={t}");
-                }
-                assert_eq!(par.trace.len(), seq.trace.len(), "threads={t}");
-                for (a, b) in par.trace.iter().zip(seq.trace.iter()) {
-                    assert_eq!(a.disposition, b.disposition, "threads={t}");
-                }
-                let a: Vec<String> = par
-                    .essential_states()
-                    .iter()
-                    .map(|c| c.render(&spec))
-                    .collect();
-                let b: Vec<String> = seq
-                    .essential_states()
-                    .iter()
-                    .map(|c| c.render(&spec))
-                    .collect();
-                assert_eq!(a, b, "threads={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_budget_stop_matches_sequential() {
-        let spec = illinois();
-        let seq = expand(&spec, &Options::default().max_visits(3));
-        let par = expand(&spec, &Options::default().max_visits(3).threads(4));
-        assert!(par.truncated);
-        assert_eq!(par.visits, seq.visits);
-        assert_eq!(par.nodes.len(), seq.nodes.len());
-        let (ps, ss) = (par.stopped.unwrap(), seq.stopped.unwrap());
-        assert_eq!(ps.cause, ss.cause);
-        assert_eq!(ps.frontier, ss.frontier);
-    }
-
-    #[test]
-    fn parallel_stop_at_first_error_matches_sequential() {
-        let spec = illinois_missing_invalidation();
-        let seq = expand(&spec, &Options::default().stop_at_first_error(true));
-        let par = expand(
-            &spec,
-            &Options::default().stop_at_first_error(true).threads(8),
-        );
-        assert_eq!(par.errors.len(), 1);
-        assert_eq!(par.visits, seq.visits);
-        assert_eq!(par.errors[0].node, seq.errors[0].node);
-        assert_eq!(par.nodes.len(), seq.nodes.len());
-    }
-
-    #[test]
-    fn parallel_run_reports_worker_gauge_and_merge_waits() {
-        use ccv_observe::Metrics;
-        use std::sync::Arc;
-
-        let spec = illinois();
-        let metrics = Arc::new(Metrics::new());
-        let exp = expand(
-            &spec,
-            &Options::default()
-                .threads(2)
-                .sink(metrics.clone() as Arc<_>),
-        );
-        assert!(exp.is_clean());
-        let snap = metrics.snapshot();
-        assert_eq!(snap.gauge(Gauge::SymWorkers), Some(2));
-        assert!(
-            snap.counter(Counter::MergeWaits) > 0,
-            "a multi-element batch must fork at least once"
-        );
     }
 }

@@ -50,10 +50,10 @@ use ccv_observe::{
     Counter, FaultHandle, FaultKind, Gauge, Governor, Phase, RuleStat, SinkHandle, SpanKind,
     StopCause, Track,
 };
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Most states moved from a worker's public deque to its private
@@ -121,11 +121,27 @@ struct WorkerStats {
     rules: Vec<RuleStat>,
 }
 
+/// Locks `m`, recovering the guard if a panicking worker poisoned it:
+/// worker panics are contained and reported, and the queues they held
+/// stay usable for the drain.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Non-blocking [`lock`]: `None` while another worker holds `m`.
+fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(g) => Some(g),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
 /// Moves up to [`REFILL_BATCH`] states from the worker's own public
 /// deque (back first — the most recently published, preserving
 /// locality) onto its private stack and pops one.
 fn refill(w: usize, sh: &Shared<'_>, local: &mut Vec<PackedState>) -> Option<PackedState> {
-    let mut q = sh.queues[w].lock();
+    let mut q = lock(&sh.queues[w]);
     for _ in 0..REFILL_BATCH {
         match q.pop_back() {
             Some(s) => local.push(s),
@@ -148,7 +164,7 @@ fn steal(
     let k = sh.queues.len();
     for off in 1..k {
         let victim = (w + off) % k;
-        let Some(mut q) = sh.queues[victim].try_lock() else {
+        let Some(mut q) = try_lock(&sh.queues[victim]) else {
             continue;
         };
         let take = q.len().div_ceil(2).min(STEAL_CAP);
@@ -270,7 +286,7 @@ fn expand(
     // idle workers have something to steal; only when our own public
     // deque has drained, so publication stays rare on the hot path.
     if local.len() > 1 {
-        if let Some(mut q) = sh.queues[w].try_lock() {
+        if let Some(mut q) = try_lock(&sh.queues[w]) {
             if q.is_empty() {
                 let give = local.len() / 2;
                 for s in local.drain(..give) {
@@ -473,7 +489,7 @@ pub fn enumerate_parallel_resumed(
             }
             if !sh.stop.load(Ordering::Relaxed) {
                 sh.pending.store(1, Ordering::Relaxed);
-                sh.queues[0].lock().push_back(init);
+                lock(&sh.queues[0]).push_back(init);
             }
         }
         Some(seed) => {
@@ -485,7 +501,7 @@ pub fn enumerate_parallel_resumed(
             sink.frontier(0, seed.frontier.len());
             sh.pending.store(seed.frontier.len(), Ordering::Relaxed);
             for (i, s) in seed.frontier.into_iter().enumerate() {
-                sh.queues[i % threads].lock().push_back(s);
+                lock(&sh.queues[i % threads]).push_back(s);
             }
         }
     }
@@ -512,7 +528,7 @@ pub fn enumerate_parallel_resumed(
                             .map(|s| s.to_string())
                             .or_else(|| payload.downcast_ref::<String>().cloned())
                             .unwrap_or_else(|| "opaque panic payload".to_string());
-                        let mut note = panic_note.lock();
+                        let mut note = lock(panic_note);
                         if note.is_none() {
                             *note = Some(format!("worker {w}: {msg}"));
                         }
@@ -535,7 +551,7 @@ pub fn enumerate_parallel_resumed(
         worker_stats.push(stats);
     }
     for q in &sh.queues {
-        frontier.extend(q.lock().drain(..));
+        frontier.extend(lock(q).drain(..));
     }
 
     // The coordinator's merge of per-worker tallies is the Drain leg
@@ -602,7 +618,9 @@ pub fn enumerate_parallel_resumed(
     let mut stopped = sh.gov.stop_info(frontier.len());
     if let Some(info) = &mut stopped {
         if info.cause == StopCause::WorkerPanic {
-            info.detail = panic_note.into_inner();
+            info.detail = panic_note
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
     let truncated = stopped.is_some();
@@ -854,10 +872,10 @@ mod tests {
         }
         impl EventSink for SpanLedger {
             fn span_begin(&self, _kind: SpanKind, tid: u32) {
-                self.per_tid.lock().entry(tid).or_default().0 += 1;
+                lock(&self.per_tid).entry(tid).or_default().0 += 1;
             }
             fn span_end(&self, _kind: SpanKind, tid: u32) {
-                let mut map = self.per_tid.lock();
+                let mut map = lock(&self.per_tid);
                 let e = map.entry(tid).or_default();
                 e.1 += 1;
                 if e.1 > e.0 {
@@ -873,7 +891,7 @@ mod tests {
         enumerate_parallel(&spec, &opts, threads);
 
         assert!(!ledger.unbalanced.load(Ordering::Relaxed));
-        let map = ledger.per_tid.lock();
+        let map = lock(&ledger.per_tid);
         // Coordinator track (Drain span) plus every worker track.
         assert!(map.contains_key(&0), "coordinator emitted no span");
         for w in 0..threads {

@@ -13,18 +13,34 @@
 //! `unsafe` and belongs in a separate compilation unit.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use ccv_enum::{is_violating, reachable_states, successors_into, ConcreteStep};
 use ccv_model::protocols;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per-thread, so a sibling
+    /// test running concurrently never allocates into another test's
+    /// measured window; `const`-initialised and drop-free, so touching
+    /// it from the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the slot may already be gone during thread teardown.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -33,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -53,7 +69,7 @@ fn warm_kernel_pass_performs_zero_allocations() {
     let mut buf: Vec<ConcreteStep> = Vec::with_capacity(1024);
 
     // Hot phase: one full kernel pass over every reachable state.
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut violations = 0usize;
     let mut successors = 0usize;
     let mut canon_acc = 0u128;
@@ -68,7 +84,7 @@ fn warm_kernel_pass_performs_zero_allocations() {
             canon_acc ^= s.to.canonical(n).0;
         }
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,

@@ -194,6 +194,28 @@ fn indexed_engine_matches_the_naive_reference_on_every_protocol() {
 }
 
 #[test]
+fn every_protocol_agrees_with_the_naive_oracle() {
+    // The default engine against the naive oracle on every library
+    // protocol, correct and buggy alike: counts, essential sets and the
+    // number of error findings.
+    let mut specs = protocols::all_correct();
+    specs.extend(protocols::all_buggy().into_iter().map(|(s, _)| s));
+    for spec in specs {
+        let exp = run_expansion(&spec, &Options::default());
+        let oracle = reference_expand(&spec, &Options::default());
+        assert_eq!(exp.visits, oracle.visits, "{}", spec.name());
+        assert_eq!(exp.successors, oracle.successors, "{}", spec.name());
+        assert_eq!(
+            rendered_essential(&spec, &exp),
+            rendered_essential(&spec, &oracle),
+            "{}: essential states diverge from the oracle",
+            spec.name()
+        );
+        assert_eq!(exp.errors.len(), oracle.errors.len(), "{}", spec.name());
+    }
+}
+
+#[test]
 fn indexed_engine_matches_the_reference_on_every_buggy_mutant() {
     // Same differential on the mutants: verdicts, error findings and
     // the rendered counterexample paths must be byte-identical (both
